@@ -46,11 +46,12 @@ check: build vet lint test race
 # compat runs the wire-protocol version matrix: every pairing of v1/v2
 # masters and workers over the tcp and unix transports must negotiate
 # down to the common subset and price bit-identically (spans and other
-# optional payloads silently unship across version boundaries). This is
+# optional payloads silently unship across version boundaries), and the
+# side payloads workers ship back must keep their exact bytes. This is
 # the rolling-upgrade gate: it proves an old worker can serve a new
 # master and vice versa.
 compat:
-	$(GO) test -run TestCompat -v ./internal/mpi ./internal/risk
+	$(GO) test -run TestCompat -v ./internal/mpi ./internal/risk ./internal/farm
 
 # smoke boots riskserver, prices one request, and asserts /healthz,
 # /metrics, /metrics.json, /debug/traces and /debug/pprof all respond.

@@ -144,17 +144,14 @@ func TestEventPayloadRoundtrip(t *testing.T) {
 		// Same name again: the intern table must map both to one entry.
 		{When: 3.25, Level: telemetry.LevelWarn, Name: "farm.compute.error"},
 	}
-	h := encodeEventPayload(evs, 42.5)
-	if !isEventPayload(h) {
-		t.Fatal("encoded payload not recognised")
+	var rep workerReply
+	if side, _ := rep.readSide(resultHash("job-01", 1, 0, 0, 1)); side {
+		t.Fatal("task result misrecognised as a side payload")
 	}
-	if isEventPayload(resultHash("job-01", 1, 0, 0, 1)) {
-		t.Fatal("task result misrecognised as event payload")
+	if side, err := rep.readSide(writeEvents(evs, 42.5)); !side || err != nil {
+		t.Fatalf("event payload: side=%v err=%v", side, err)
 	}
-	got, recvAt, err := decodeEventPayload(h)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
+	got, recvAt := rep.events, rep.recvAt
 	if recvAt != 42.5 {
 		t.Errorf("recvAt = %v, want 42.5", recvAt)
 	}
@@ -182,12 +179,13 @@ func TestEventPayloadRoundtrip(t *testing.T) {
 	}
 }
 
-// TestEventPayloadRejectsMalformed feeds the decoder the corruptions a
-// hostile or skewed peer could ship: wrong container type, missing
-// arrays, dangling intern indices and disagreeing lengths.
+// TestEventPayloadRejectsMalformed feeds the reader the corruptions a
+// hostile or skewed peer could ship: missing arrays, dangling intern
+// indices, disagreeing lengths and out-of-range values.
 func TestEventPayloadRejectsMalformed(t *testing.T) {
-	if _, _, err := decodeEventPayload(nsp.Scalar(1)); err == nil {
-		t.Error("non-hash payload accepted")
+	var rep workerReply
+	if side, err := rep.readSide(nsp.Scalar(1)); side || err != nil {
+		t.Errorf("non-hash item read as a side payload: side=%v err=%v", side, err)
 	}
 	base := func() []telemetry.Event {
 		return []telemetry.Event{{
@@ -217,13 +215,20 @@ func TestEventPayloadRejectsMalformed(t *testing.T) {
 		}},
 		{"trace halves truncated", func(h *nsp.Hash) { h.Set(eventTraces, nsp.NewMat(1, 1)) }},
 		{"string value index dangles", func(h *nsp.Hash) { h.Set(eventStrs, nsp.NewSMat(1, 0)) }},
-		{"recvat malformed", func(h *nsp.Hash) { h.Set(eventRecvAt, nsp.NewMat(1, 2)) }},
+		{"recvat malformed", func(h *nsp.Hash) { h.Set(sideRecvAt, nsp.NewMat(1, 2)) }},
+		{"level out of range", func(h *nsp.Hash) { h.Set(eventLevels, nsp.Scalar(1e9)) }},
+		{"fractional level", func(h *nsp.Hash) { h.Set(eventLevels, nsp.Scalar(2.5)) }},
 	}
 	for _, tc := range corrupt {
-		h := encodeEventPayload(base(), 1)
+		h := writeEvents(base(), 1)
 		tc.mutate(h)
-		if _, _, err := decodeEventPayload(h); err == nil {
-			t.Errorf("%s: corrupted payload accepted", tc.name)
+		var rep workerReply
+		side, err := rep.readSide(h)
+		if !side || err == nil {
+			t.Errorf("%s: corrupted payload accepted (side=%v)", tc.name, side)
+		}
+		if rep.events != nil || rep.recvAt != 0 {
+			t.Errorf("%s: rejected payload still filled the reply", tc.name)
 		}
 	}
 }

@@ -402,7 +402,7 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 	// Trace ID without parents.
 	traceless := encodeBatch([]Task{{Name: "x"}}, batchTrace{})
 	tid := nsp.NewMat(1, 2)
-	splitU64(tid, 0, 0xff)
+	u64Col(tid.Data).set(0, 0xff)
 	traceless.Set(descTrace, tid)
 	if _, err := decodeBatch(traceless); err == nil {
 		t.Fatal("traced descriptor without parents accepted")
@@ -443,21 +443,18 @@ func TestBatchTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpanPayloadRoundTrip checks the worker→master span shipping codec,
+// TestSpanPayloadRoundTrip checks the worker→master span payload,
 // including 64-bit IDs that do not fit a float64.
 func TestSpanPayloadRoundTrip(t *testing.T) {
 	recs := []telemetry.SpanRecord{
 		{ID: 1<<63 + 7, ParentID: 3, TraceID: 9, Name: "farm.compute", Start: 1.5, End: 2.25},
 		{ID: 12, ParentID: 1<<63 + 7, TraceID: 9, Name: "kernel", Start: 1.6, End: 2.0},
 	}
-	h := encodeSpanPayload(recs, 1.25)
-	if !isSpanPayload(h) {
-		t.Fatal("span payload not recognized")
+	var rep workerReply
+	if side, err := rep.readSide(writeSpans(recs, 1.25)); !side || err != nil {
+		t.Fatalf("span payload: side=%v err=%v", side, err)
 	}
-	got, recvAt, err := decodeSpanPayload(h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, recvAt := rep.spans, rep.recvAt
 	if recvAt != 1.25 {
 		t.Fatalf("recvAt = %v, want 1.25", recvAt)
 	}
@@ -469,9 +466,9 @@ func TestSpanPayloadRoundTrip(t *testing.T) {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
 		}
 	}
-	// A regular result hash is not mistaken for a span payload.
-	if isSpanPayload(resultHash("x", 1, 0, 0, 0)) {
-		t.Fatal("result hash misdetected as span payload")
+	// A regular result hash is not mistaken for a side payload.
+	if side, _ := rep.readSide(resultHash("x", 1, 0, 0, 0)); side {
+		t.Fatal("result hash misdetected as a side payload")
 	}
 }
 

@@ -112,23 +112,19 @@ func RunSubMaster(c mpi.Comm, workers []int, opts Options) error {
 			tasks[i] = Task{Name: names[i], Cost: costs[i]}
 		}
 		if opts.Strategy.NeedsPayload() {
-			pobj, _, err := mpi.RecvObj(c, 0, TagPayload)
+			data, objs, err := recvPayloads(c, 0, len(names))
 			if err != nil {
-				return fmt.Errorf("farm: sub-master %d recv payloads: %w", c.Rank(), err)
+				return err
 			}
-			list, ok := pobj.(*nsp.List)
-			if !ok || list.Len() != len(names) {
-				return fmt.Errorf("farm: sub-master %d: malformed chunk payload", c.Rank())
-			}
-			for i, item := range list.Items {
-				if s, ok := item.(*nsp.Serial); ok {
-					tasks[i].Data = s.Data
-					continue
+			for i := range tasks {
+				tasks[i].Data = data[i]
+				// A by-reference chunk item stays an object: the
+				// re-dispatch to this group's workers ships it by
+				// reference again (or serializes it via the loader on
+				// wire transports).
+				if objs != nil {
+					tasks[i].Obj = objs[i]
 				}
-				// By-reference chunk item: keep the object; the re-dispatch
-				// to this group's workers ships it by reference again (or
-				// serializes it via the loader on wire transports).
-				tasks[i].Obj = item
 			}
 		} else {
 			// NFS: workers read by name; preserve declared sizes through

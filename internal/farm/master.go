@@ -134,9 +134,11 @@ type workerReply struct {
 }
 
 // recvResults receives one result list, converting worker-reported
-// pricing failures into Results with Err set. Trailing span and event
-// payloads are split off into the reply.
-func recvResults(c mpi.Comm) (workerReply, error) {
+// pricing failures into Results with Err set. Side payloads (spans,
+// events) are split off into the reply. A malformed side payload drops
+// that payload, never the results: it is logged as a farm.payload.drop
+// warning on reg under tc, naming the source rank.
+func recvResults(c mpi.Comm, reg *telemetry.Registry, tc telemetry.TraceContext) (workerReply, error) {
 	var rep workerReply
 	st, err := c.Probe(mpi.AnySource, TagResult)
 	if err != nil {
@@ -152,16 +154,12 @@ func recvResults(c mpi.Comm) (workerReply, error) {
 		return rep, fmt.Errorf("farm: result from %d is %v, want list", st.Source, obj.Kind())
 	}
 	for _, item := range list.Items {
-		if isSpanPayload(item) {
-			if rep.spans, rep.recvAt, err = decodeSpanPayload(item); err != nil {
-				return rep, err
-			}
-			continue
+		side, err := rep.readSide(item)
+		if err != nil {
+			reg.Emit(telemetry.LevelWarn, "farm.payload.drop", tc,
+				telemetry.Num("rank", float64(st.Source)), telemetry.Str("err", err.Error()))
 		}
-		if isEventPayload(item) {
-			if rep.events, rep.recvAt, err = decodeEventPayload(item); err != nil {
-				return rep, err
-			}
+		if side {
 			continue
 		}
 		name, err := resultName(item)
@@ -212,12 +210,7 @@ func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task
 	reg := opts.Telemetry
 	// Adopt a distributed trace threaded through ctx (a serve request or
 	// bench run); without one the run is metrics-only.
-	var runSpan *telemetry.Span
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		runSpan = reg.StartSpanIn(tc, "farm.run")
-	} else {
-		runSpan = reg.StartSpan("farm.run")
-	}
+	runSpan := reg.StartSpanCtx(ctx, "farm.run")
 	defer runSpan.End()
 	queue := make([]queuedBatch, len(batches))
 	now := reg.Now()
@@ -292,7 +285,7 @@ func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task
 		}
 	}
 	for inflight > 0 {
-		rep, err := recvResults(c)
+		rep, err := recvResults(c, reg, runSpan.Context())
 		if err != nil {
 			return nil, err
 		}

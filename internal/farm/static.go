@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"riskbench/internal/mpi"
+	"riskbench/internal/telemetry"
 )
 
 // RunStaticMaster is the ablation baseline for the Robin-Hood scheduler:
@@ -43,7 +44,7 @@ func RunStaticMaster(ctx context.Context, c mpi.Comm, tasks []Task, loader Loade
 		}
 	}
 	for inflight > 0 {
-		rep, err := recvResults(c)
+		rep, err := recvResults(c, opts.Telemetry, telemetry.TraceContext{})
 		if err != nil {
 			return nil, err
 		}

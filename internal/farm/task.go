@@ -3,7 +3,6 @@ package farm
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"riskbench/internal/nsp"
 	"riskbench/internal/telemetry"
@@ -136,22 +135,6 @@ const (
 	descParents = "parents" // per-task parent span IDs, 1x2k halves
 )
 
-// splitU64 / joinU64 carry 64-bit IDs through nsp float matrices as
-// exact high/low 32-bit halves; a single float64 cannot hold them.
-func splitU64(m *nsp.Mat, i int, v uint64) {
-	m.Data[2*i] = float64(v >> 32)
-	m.Data[2*i+1] = float64(uint32(v))
-}
-
-func joinU64(m *nsp.Mat, i int) (uint64, error) {
-	hi, lo := m.Data[2*i], m.Data[2*i+1]
-	const lim = 1 << 32
-	if hi != math.Trunc(hi) || lo != math.Trunc(lo) || hi < 0 || lo < 0 || hi >= lim || lo >= lim {
-		return 0, fmt.Errorf("id halves (%v, %v) out of range", hi, lo)
-	}
-	return uint64(hi)<<32 | uint64(lo), nil
-}
-
 // batchTrace is the trace context a batch carries over the wire: the
 // trace ID plus one parent span ID per task, so a worker's farm.compute
 // spans parent directly onto the master's farm.task spans.
@@ -191,10 +174,10 @@ func encodeBatch(tasks []Task, bt batchTrace) *nsp.Hash {
 	h.Set(descSizes, sizes)
 	if bt.valid() && len(bt.parents) == k {
 		trace := nsp.NewMat(1, 2)
-		splitU64(trace, 0, bt.traceID)
+		u64Col(trace.Data).set(0, bt.traceID)
 		parents := nsp.NewMat(1, 2*k)
 		for i, p := range bt.parents {
-			splitU64(parents, i, p)
+			u64Col(parents.Data).set(i, p)
 		}
 		h.Set(descTrace, trace)
 		h.Set(descParents, parents)
@@ -231,9 +214,9 @@ func decodeBatch(o nsp.Object) (batchDesc, error) {
 		if !ok || len(tm.Data) != 2 {
 			return d, errors.New("farm: descriptor trace field malformed")
 		}
-		traceID, err := joinU64(tm, 0)
-		if err != nil {
-			return d, fmt.Errorf("farm: descriptor trace ID: %w", err)
+		tc := u64Col(tm.Data)
+		if !tc.valid(0) {
+			return d, fmt.Errorf("farm: descriptor trace ID halves (%v, %v) out of range", tc[0], tc[1])
 		}
 		pv, ok := h.Get(descParents)
 		if !ok {
@@ -243,176 +226,17 @@ func decodeBatch(o nsp.Object) (batchDesc, error) {
 		if !ok || len(pm.Data) != 2*k {
 			return d, errors.New("farm: descriptor parents malformed")
 		}
+		pc := u64Col(pm.Data)
 		parents := make([]uint64, k)
 		for i := range parents {
-			if parents[i], err = joinU64(pm, i); err != nil {
-				return d, fmt.Errorf("farm: descriptor parent %d: %w", i, err)
+			if !pc.valid(i) {
+				return d, fmt.Errorf("farm: descriptor parent %d halves (%v, %v) out of range", i, pc[2*i], pc[2*i+1])
 			}
+			parents[i] = pc.at(i)
 		}
-		d.Trace = batchTrace{traceID: traceID, parents: parents}
+		d.Trace = batchTrace{traceID: tc.at(0), parents: parents}
 	}
 	return d, nil
-}
-
-// Span-payload field keys. A traced worker appends one extra hash,
-// marked by spanMarker, to its result list, carrying the SpanRecords it
-// finished for the batch plus its descriptor-receive clock reading (so
-// the master can shift worker clocks onto its own).
-const (
-	spanMarker  = "__spans"
-	spanIDs     = "ids" // 1x2n matrix of 32-bit ID halves
-	spanParents = "parents"
-	spanTraces  = "traces"
-	spanNames   = "names"  // intern table: the distinct span names
-	spanNameIx  = "nameix" // per-span index into the intern table
-	spanStarts  = "starts"
-	spanEnds    = "ends"
-	spanRecvAt  = "recvat"
-)
-
-// encodeSpanPayload packs finished worker spans for the trip back to the
-// master. recvAt is the worker clock at descriptor receipt. Names are
-// interned (a batch's spans repeat a handful of names) and IDs travel as
-// split 32-bit halves, keeping the payload free of per-span strings.
-func encodeSpanPayload(recs []telemetry.SpanRecord, recvAt float64) *nsp.Hash {
-	n := len(recs)
-	ids := nsp.NewMat(1, 2*n)
-	parents := nsp.NewMat(1, 2*n)
-	traces := nsp.NewMat(1, 2*n)
-	nameIx := nsp.NewMat(1, n)
-	starts := nsp.NewMat(1, n)
-	ends := nsp.NewMat(1, n)
-	var uniq []string
-	for i, rec := range recs {
-		splitU64(ids, i, rec.ID)
-		splitU64(parents, i, rec.ParentID)
-		splitU64(traces, i, rec.TraceID)
-		ix := -1
-		for j, s := range uniq {
-			if s == rec.Name {
-				ix = j
-				break
-			}
-		}
-		if ix < 0 {
-			ix = len(uniq)
-			uniq = append(uniq, rec.Name)
-		}
-		nameIx.Data[i] = float64(ix)
-		starts.Data[i] = rec.Start
-		ends.Data[i] = rec.End
-	}
-	names := nsp.NewSMat(1, len(uniq))
-	copy(names.Data, uniq)
-	h := nsp.NewHash()
-	h.Set(spanMarker, nsp.Scalar(1))
-	h.Set(spanIDs, ids)
-	h.Set(spanParents, parents)
-	h.Set(spanTraces, traces)
-	h.Set(spanNames, names)
-	h.Set(spanNameIx, nameIx)
-	h.Set(spanStarts, starts)
-	h.Set(spanEnds, ends)
-	h.Set(spanRecvAt, nsp.Scalar(recvAt))
-	return h
-}
-
-// isSpanPayload reports whether a result-list item is a span payload
-// rather than a task result.
-func isSpanPayload(o nsp.Object) bool {
-	h, ok := o.(*nsp.Hash)
-	if !ok {
-		return false
-	}
-	_, ok = h.Get(spanMarker)
-	return ok
-}
-
-// decodeSpanPayload unpacks a span payload hash.
-func decodeSpanPayload(o nsp.Object) ([]telemetry.SpanRecord, float64, error) {
-	h, ok := o.(*nsp.Hash)
-	if !ok {
-		return nil, 0, errors.New("farm: span payload is not a hash")
-	}
-	get := func(key string) (nsp.Object, error) {
-		v, ok := h.Get(key)
-		if !ok {
-			return nil, fmt.Errorf("farm: span payload missing %q", key)
-		}
-		return v, nil
-	}
-	mat := func(key string) (*nsp.Mat, error) {
-		v, err := get(key)
-		if err != nil {
-			return nil, err
-		}
-		m, ok := v.(*nsp.Mat)
-		if !ok {
-			return nil, fmt.Errorf("farm: span payload %q has wrong type", key)
-		}
-		return m, nil
-	}
-	ids, err := mat(spanIDs)
-	if err != nil {
-		return nil, 0, err
-	}
-	parents, err := mat(spanParents)
-	if err != nil {
-		return nil, 0, err
-	}
-	traces, err := mat(spanTraces)
-	if err != nil {
-		return nil, 0, err
-	}
-	nv, err := get(spanNames)
-	if err != nil {
-		return nil, 0, err
-	}
-	names, ok := nv.(*nsp.SMat)
-	if !ok {
-		return nil, 0, fmt.Errorf("farm: span payload %q has wrong type", spanNames)
-	}
-	nameIx, err := mat(spanNameIx)
-	if err != nil {
-		return nil, 0, err
-	}
-	starts, err := mat(spanStarts)
-	if err != nil {
-		return nil, 0, err
-	}
-	ends, err := mat(spanEnds)
-	if err != nil {
-		return nil, 0, err
-	}
-	rv, err := mat(spanRecvAt)
-	if err != nil || len(rv.Data) != 1 {
-		return nil, 0, errors.New("farm: span payload recvat malformed")
-	}
-	n := len(nameIx.Data)
-	if len(ids.Data) != 2*n || len(parents.Data) != 2*n || len(traces.Data) != 2*n ||
-		len(starts.Data) != n || len(ends.Data) != n {
-		return nil, 0, errors.New("farm: span payload field lengths disagree")
-	}
-	recs := make([]telemetry.SpanRecord, n)
-	for i := range recs {
-		if recs[i].ID, err = joinU64(ids, i); err != nil {
-			return nil, 0, fmt.Errorf("farm: span payload id %d: %w", i, err)
-		}
-		if recs[i].ParentID, err = joinU64(parents, i); err != nil {
-			return nil, 0, fmt.Errorf("farm: span payload parent %d: %w", i, err)
-		}
-		if recs[i].TraceID, err = joinU64(traces, i); err != nil {
-			return nil, 0, fmt.Errorf("farm: span payload trace %d: %w", i, err)
-		}
-		ix := int(nameIx.Data[i])
-		if float64(ix) != nameIx.Data[i] || ix < 0 || ix >= len(names.Data) {
-			return nil, 0, fmt.Errorf("farm: span payload name index %d out of range", i)
-		}
-		recs[i].Name = names.Data[ix]
-		recs[i].Start = starts.Data[i]
-		recs[i].End = ends.Data[i]
-	}
-	return recs, rv.Data[0], nil
 }
 
 // resultHash builds the standard result object returned by executors.

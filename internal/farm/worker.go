@@ -95,7 +95,7 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 			return telemetry.TraceContext{TraceID: desc.Trace.traceID, SpanID: desc.Trace.parents[i]}
 		}
 		var shipped []telemetry.SpanRecord
-		payloads := make([][]byte, len(names))
+		var payloads [][]byte
 		var objs []nsp.Object
 		var fetchSpan *telemetry.Span
 		if traced {
@@ -103,25 +103,8 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 		}
 		fetchStart := reg.Now()
 		if opts.Strategy.NeedsPayload() {
-			pobj, _, err := mpi.RecvObj(c, master, TagPayload)
-			if err != nil {
-				return fmt.Errorf("farm: worker %d recv payload: %w", c.Rank(), err)
-			}
-			list, ok := pobj.(*nsp.List)
-			if !ok || list.Len() != len(names) {
-				return fmt.Errorf("farm: worker %d: malformed payload list", c.Rank())
-			}
-			for i, item := range list.Items {
-				if s, ok := item.(*nsp.Serial); ok {
-					payloads[i] = s.Data
-					continue
-				}
-				// A non-serial item is a problem shipped by reference over
-				// an in-process communicator.
-				if objs == nil {
-					objs = make([]nsp.Object, len(names))
-				}
-				objs[i] = item
+			if payloads, objs, err = recvPayloads(c, master, len(names)); err != nil {
+				return err
 			}
 			if objs != nil {
 				if _, ok := exec.(ObjExecutor); !ok {
@@ -132,6 +115,7 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 			if store == nil {
 				return fmt.Errorf("farm: worker %d: NFS strategy without a store", c.Rank())
 			}
+			payloads = make([][]byte, len(names))
 			for i, name := range names {
 				data, err := store.Read(name, int(sizes[i]))
 				if err != nil {
@@ -191,15 +175,42 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 			out.Add(res)
 		}
 		if len(shipped) > 0 {
-			out.Add(encodeSpanPayload(shipped, recvAt))
+			out.Add(writeSpans(shipped, recvAt))
 		}
 		if shipEvents {
 			if evs := reg.Events(telemetry.EventFilter{MinLevel: telemetry.LevelWarn, SinceSeq: evCursor}); len(evs) > 0 {
-				out.Add(encodeEventPayload(evs, recvAt))
+				out.Add(writeEvents(evs, recvAt))
 			}
 		}
 		if err := mpi.SendObj(c, out, master, TagResult); err != nil {
 			return fmt.Errorf("farm: worker %d send results: %w", c.Rank(), err)
 		}
 	}
+}
+
+// recvPayloads receives a batch's payload list of n items from src.
+// Each item is a problem's serialized bytes or, over a communicator
+// that passes objects by reference, the problem object itself; objs is
+// nil when no item is an object.
+func recvPayloads(c mpi.Comm, src, n int) (data [][]byte, objs []nsp.Object, err error) {
+	obj, _, err := mpi.RecvObj(c, src, TagPayload)
+	if err != nil {
+		return nil, nil, fmt.Errorf("farm: rank %d recv payload: %w", c.Rank(), err)
+	}
+	list, ok := obj.(*nsp.List)
+	if !ok || list.Len() != n {
+		return nil, nil, fmt.Errorf("farm: rank %d: malformed payload list", c.Rank())
+	}
+	data = make([][]byte, n)
+	for i, item := range list.Items {
+		if s, ok := item.(*nsp.Serial); ok {
+			data[i] = s.Data
+			continue
+		}
+		if objs == nil {
+			objs = make([]nsp.Object, n)
+		}
+		objs[i] = item
+	}
+	return data, objs, nil
 }

@@ -47,6 +47,8 @@ var metricNameMethods = map[string]int{
 	"StartTrace":      0,
 	"StartChild":      0,
 	"StartSpanIn":     1,
+	"StartSpanCtx":    1,
+	"StartTraceCtx":   1,
 	"Emit":            1,
 	"EmitCtx":         2,
 }

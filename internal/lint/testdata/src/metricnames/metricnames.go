@@ -17,6 +17,8 @@ func good() {
 	reg.Counter("farm.worker." + rankString() + ".tasks").Add(1)
 	reg.Counter(fmt.Sprintf("mpi.rank%d.bytes_sent", 3)).Add(1)
 	reg.StartSpan("risk.price_batch").End()
+	reg.StartSpanCtx(nil, "farm.run").End()
+	reg.StartTraceCtx(nil, "var.full").End()
 	reg.Emit(telemetry.LevelWarn, "farm.task.retry", telemetry.TraceContext{})
 	reg.EmitCtx(nil, telemetry.LevelInfo, "serve.drain.begin")
 	reg.ObserveExemplar("serve.request_seconds", 0.1, telemetry.TraceContext{})
@@ -31,6 +33,8 @@ func bad() {
 	reg.Emit(telemetry.LevelError, "WorkerDied", telemetry.TraceContext{})           // want `does not match the dotted grammar`
 	reg.EmitCtx(nil, telemetry.LevelWarn, "retry happened")                          // want `does not match the dotted grammar`
 	reg.ObserveExemplar("latency", 0.1, telemetry.TraceContext{})                    // want `does not match the dotted grammar`
+	reg.StartSpanCtx(nil, "FarmRun").End()                                           // want `does not match the dotted grammar`
+	reg.StartTraceCtx(nil, "var full").End()                                         // want `does not match the dotted grammar`
 	//lint:allow metricnames fixture: legacy dashboard name kept for continuity
 	reg.Counter("Legacy-Series").Add(1)
 }

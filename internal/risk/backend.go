@@ -174,46 +174,3 @@ func GoNetWorkers(newRegistry func(worker int) *telemetry.Registry, proto int) f
 		}, nil
 	}
 }
-
-// TCPBackend prices each round over real TCP connections.
-//
-// Deprecated: TCPBackend is NetBackend fixed to the tcp transport; new
-// code should set NetBackend{Transport: "tcp"} (or any other registered
-// transport) directly. The shim remains so existing constructors keep
-// compiling through the transition.
-type TCPBackend struct {
-	// Addr is the listen address; default "127.0.0.1:0".
-	Addr string
-	// Spawn must cause `workers` workers to mpi.DialHub(addr) and run
-	// farm.RunWorker until the stop message. It returns a wait function
-	// joining them (may be nil). Required.
-	Spawn func(addr string, workers int) (wait func() error, err error)
-}
-
-// Run implements FarmBackend over a TCP hub by delegating to
-// NetBackend.
-func (b *TCPBackend) Run(ctx context.Context, tasks []farm.Task, opts farm.Options, nw int) ([]farm.Result, error) {
-	if b.Spawn == nil {
-		return nil, errors.New("risk: TCPBackend needs a Spawn function")
-	}
-	nb := &NetBackend{
-		Transport: "tcp",
-		Addr:      b.Addr,
-		Spawn: func(_, addr string, workers int) (func() error, error) {
-			return b.Spawn(addr, workers)
-		},
-	}
-	return nb.Run(ctx, tasks, opts, nw)
-}
-
-// GoTCPWorkers returns a TCPBackend Spawn function running each worker
-// as a goroutine of this process over the real TCP wire.
-//
-// Deprecated: use GoNetWorkers, which spawns over any registered
-// transport and can pin a protocol version for compatibility tests.
-func GoTCPWorkers(newRegistry func(worker int) *telemetry.Registry) func(addr string, workers int) (func() error, error) {
-	spawn := GoNetWorkers(newRegistry, 0)
-	return func(addr string, workers int) (func() error, error) {
-		return spawn("tcp", addr, workers)
-	}
-}

@@ -9,18 +9,21 @@ import (
 	"riskbench/internal/telemetry"
 )
 
-// TestPriceBatchTCPBackend prices a batch over the TCP backend with a
-// FRESH registry per worker and checks (a) the prices match the local
-// backend bit-for-bit and (b) the master reassembles one trace whose
-// worker-side farm.compute spans parent onto its farm.task spans — the
-// spans could only have arrived over the wire.
-func TestPriceBatchTCPBackend(t *testing.T) {
+// TestPriceBatchNetBackendTCP prices a batch over NetBackend's tcp
+// transport with a FRESH registry per worker and checks (a) the prices
+// match the local backend bit-for-bit and (b) the master reassembles
+// one trace whose worker-side farm.compute spans parent onto its
+// farm.task spans — the spans could only have arrived over the wire.
+func TestPriceBatchNetBackendTCP(t *testing.T) {
 	reg := telemetry.New()
 	e := Engine{
 		Workers:   2,
 		BatchSize: 2,
 		Telemetry: reg,
-		Backend:   &TCPBackend{Spawn: GoTCPWorkers(func(int) *telemetry.Registry { return telemetry.New() })},
+		Backend: &NetBackend{
+			Transport: "tcp",
+			Spawn:     GoNetWorkers(func(int) *telemetry.Registry { return telemetry.New() }, 0),
+		},
 	}
 	probs := []*premia.Problem{callProblem(90), callProblem(100), callProblem(110)}
 	root := reg.StartTrace("test.request")
@@ -78,21 +81,22 @@ func TestPriceBatchTCPBackend(t *testing.T) {
 	}
 }
 
-// TestTCPBackendNeedsSpawn checks the configuration error.
-func TestTCPBackendNeedsSpawn(t *testing.T) {
-	e := Engine{Backend: &TCPBackend{}}
+// TestNetBackendNeedsSpawn checks the configuration error.
+func TestNetBackendNeedsSpawn(t *testing.T) {
+	e := Engine{Backend: &NetBackend{}}
 	_, err := e.PriceBatch(context.Background(), []*premia.Problem{callProblem(100)})
 	if err == nil {
-		t.Fatal("TCPBackend without Spawn priced a batch")
+		t.Fatal("NetBackend without Spawn priced a batch")
 	}
 }
 
-// TestPriceBatchTCPBackendCancelled checks that cancellation surfaces
-// context.Canceled through the TCP backend without hanging.
-func TestPriceBatchTCPBackendCancelled(t *testing.T) {
+// TestPriceBatchNetBackendTCPCancelled checks that cancellation
+// surfaces context.Canceled through NetBackend's tcp transport without
+// hanging.
+func TestPriceBatchNetBackendTCPCancelled(t *testing.T) {
 	e := Engine{
 		Workers: 2,
-		Backend: &TCPBackend{Spawn: GoTCPWorkers(nil)},
+		Backend: &NetBackend{Transport: "tcp", Spawn: GoNetWorkers(nil, 0)},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -79,14 +79,9 @@ func (e Engine) PriceBatch(ctx context.Context, problems []*premia.Problem) ([]P
 	// Adopt a distributed trace threaded through ctx (the serving layer
 	// mints one per request); PriceBatch never mints its own, so untraced
 	// callers stay metrics-only and the farm wire stays trace-free.
-	var span *telemetry.Span
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		span = reg.StartSpanIn(tc, "risk.price_batch")
-		ctx = telemetry.ContextWithTrace(ctx, span.Context())
-	} else {
-		span = reg.StartSpan("risk.price_batch")
-	}
+	span := reg.StartSpanCtx(ctx, "risk.price_batch")
 	defer span.End()
+	ctx = telemetry.ContextWithTrace(ctx, span.Context())
 	reg.Counter("risk.price.requests").Add(int64(len(problems)))
 
 	out := make([]PriceOutcome, len(problems))

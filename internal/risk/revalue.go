@@ -197,12 +197,7 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 	reg := e.Telemetry
 	// A revaluation is a natural trace root (one bench run / report): mint
 	// a trace unless the caller already threads one through ctx.
-	var revSpan *telemetry.Span
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		revSpan = reg.StartSpanIn(tc, "risk.revalue")
-	} else {
-		revSpan = reg.StartTrace("risk.revalue")
-	}
+	revSpan := reg.StartTraceCtx(ctx, "risk.revalue")
 	defer revSpan.End()
 	val := &Valuation{
 		Scenarios:    scenarios,

@@ -1,5 +1,7 @@
 package telemetry
 
+import "context"
+
 // Span is one timed region of work. Spans form trees via StartChild;
 // finishing a span records its duration under "span.<name>" and files a
 // SpanRecord carrying the parent link. A nil *Span is a valid no-op, so
@@ -60,6 +62,27 @@ func (r *Registry) StartSpanIn(tc TraceContext, name string) *Span {
 		return nil
 	}
 	return &Span{reg: r, id: r.spanID.Add(1), parentID: tc.SpanID, traceID: tc.TraceID, name: name, start: r.Now()}
+}
+
+// StartSpanCtx opens a span parented on the trace threaded through ctx,
+// or a root span outside any trace when ctx carries none: the form for
+// layers that join a caller's trace but never start one.
+func (r *Registry) StartSpanCtx(ctx context.Context, name string) *Span {
+	if tc, ok := TraceFromContext(ctx); ok {
+		return r.StartSpanIn(tc, name)
+	}
+	return r.StartSpan(name)
+}
+
+// StartTraceCtx opens a span parented on the trace threaded through
+// ctx, or a root span under a freshly minted trace when ctx carries
+// none: the form for operations that are a trace of their own unless
+// a caller already traces them.
+func (r *Registry) StartTraceCtx(ctx context.Context, name string) *Span {
+	if tc, ok := TraceFromContext(ctx); ok {
+		return r.StartSpanIn(tc, name)
+	}
+	return r.StartTrace(name)
 }
 
 // StartChild opens a child span under s, inheriting its trace.

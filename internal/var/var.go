@@ -200,12 +200,7 @@ func FullReval(ctx context.Context, eng risk.Engine, pf *portfolio.Portfolio, sc
 		return nil, err
 	}
 	reg := eng.Telemetry
-	var span *telemetry.Span
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		span = reg.StartSpanIn(tc, "var.full")
-	} else {
-		span = reg.StartTrace("var.full")
-	}
+	span := reg.StartTraceCtx(ctx, "var.full")
 	defer span.End()
 	if tc := span.Context(); tc.Valid() {
 		ctx = telemetry.ContextWithTrace(ctx, tc)
@@ -273,12 +268,7 @@ const (
 // against, collected once and reused across rounds.
 func CollectSensitivities(ctx context.Context, eng risk.Engine, pf *portfolio.Portfolio) (*Sensitivities, error) {
 	reg := eng.Telemetry
-	var span *telemetry.Span
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		span = reg.StartSpanIn(tc, "var.sensitivities")
-	} else {
-		span = reg.StartTrace("var.sensitivities")
-	}
+	span := reg.StartTraceCtx(ctx, "var.sensitivities")
 	defer span.End()
 	if tc := span.Context(); tc.Valid() {
 		ctx = telemetry.ContextWithTrace(ctx, tc)
