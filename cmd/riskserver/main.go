@@ -90,8 +90,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "address to serve HTTP on")
 		workers     = flag.Int("workers", runtime.NumCPU(), "pricing goroutines per farm batch")
-		batch       = flag.Int("batch", 16, "micro-batch flush size and tasks per farm message")
-		maxDelay    = flag.Duration("maxdelay", 2*time.Millisecond, "max wait for a micro-batch to fill before flushing")
+		batch       = flag.Int("batch", 16, "max micro-batch size (each flush takes what is queued, up to this, as soon as the pricer is free) and tasks per farm message")
 		cacheSize   = flag.Int("cache", serve.DefaultCacheSize, "result cache capacity in entries (negative disables)")
 		maxInflight = flag.Int("maxinflight", 256, "admitted concurrent requests before shedding with 429")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request pricing deadline")
@@ -132,7 +131,6 @@ func main() {
 	srv := serve.New(serve.Config{
 		Engine:         &risk.Engine{Workers: *workers, BatchSize: *batch, KernelThreads: *kernel, Telemetry: reg, Backend: backend},
 		MaxBatch:       *batch,
-		MaxDelay:       *maxDelay,
 		CacheSize:      *cacheSize,
 		MaxInflight:    *maxInflight,
 		RequestTimeout: *timeout,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary stream format (all integers big-endian):
@@ -28,6 +29,11 @@ const (
 	codecVersion = 1
 	// maxDim guards decode against hostile or corrupt headers.
 	maxDim = 1 << 28
+	// allocChunk caps what decode allocates on a header's word alone:
+	// element slices start at most this long and byte strings are read
+	// in chunks of this size, so a forged length costs no more memory
+	// than the bytes that actually follow it.
+	allocChunk = 4096
 )
 
 // ErrBadStream is wrapped by all decode errors caused by malformed input.
@@ -217,13 +223,13 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+		m := &Mat{Rows: rows, Cols: cols, Data: makeCap[float64](rows * cols)}
 		var b [8]byte
-		for i := range m.Data {
+		for range rows * cols {
 			if _, err := io.ReadFull(r, b[:]); err != nil {
 				return nil, badStream("short matrix data: %v", err)
 			}
-			m.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(b[:]))
+			m.Data = append(m.Data, math.Float64frombits(binary.BigEndian.Uint64(b[:])))
 		}
 		return m, nil
 	case KindBMat:
@@ -231,13 +237,13 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := &BMat{Rows: rows, Cols: cols, Data: make([]bool, rows*cols)}
-		for i := range m.Data {
+		m := &BMat{Rows: rows, Cols: cols, Data: makeCap[bool](rows * cols)}
+		for range rows * cols {
 			b, err := r.ReadByte()
 			if err != nil {
 				return nil, badStream("short bool data: %v", err)
 			}
-			m.Data[i] = b != 0
+			m.Data = append(m.Data, b != 0)
 		}
 		return m, nil
 	case KindSMat:
@@ -245,13 +251,13 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := &SMat{Rows: rows, Cols: cols, Data: make([]string, rows*cols)}
-		for i := range m.Data {
+		m := &SMat{Rows: rows, Cols: cols, Data: makeCap[string](rows * cols)}
+		for range rows * cols {
 			s, err := readString(r)
 			if err != nil {
 				return nil, err
 			}
-			m.Data[i] = s
+			m.Data = append(m.Data, s)
 		}
 		return m, nil
 	case KindList:
@@ -262,7 +268,7 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if n > maxDim {
 			return nil, badStream("list too large: %d", n)
 		}
-		l := &List{Items: make([]Object, 0, n)}
+		l := &List{Items: makeCap[Object](int(n))}
 		for i := uint32(0); i < n; i++ {
 			it, err := decodeObject(r)
 			if err != nil {
@@ -304,8 +310,8 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if n > maxDim {
 			return nil, badStream("serial too large: %d", n)
 		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(r, data); err != nil {
+		data, err := readBytes(r, int(n))
+		if err != nil {
 			return nil, badStream("short serial data: %v", err)
 		}
 		return &Serial{Compressed: cb != 0, Data: data}, nil
@@ -314,13 +320,13 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := &IMat{Rows: rows, Cols: cols, Data: make([]int64, rows*cols)}
+		m := &IMat{Rows: rows, Cols: cols, Data: makeCap[int64](rows * cols)}
 		var b [8]byte
-		for i := range m.Data {
+		for range rows * cols {
 			if _, err := io.ReadFull(r, b[:]); err != nil {
 				return nil, badStream("short int matrix data: %v", err)
 			}
-			m.Data[i] = int64(binary.BigEndian.Uint64(b[:]))
+			m.Data = append(m.Data, int64(binary.BigEndian.Uint64(b[:])))
 		}
 		return m, nil
 	case KindCells:
@@ -328,20 +334,19 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := &Cells{Rows: rows, Cols: cols, Data: make([]Object, rows*cols)}
-		for i := range c.Data {
+		c := &Cells{Rows: rows, Cols: cols, Data: makeCap[Object](rows * cols)}
+		for range rows * cols {
 			present, err := r.ReadByte()
 			if err != nil {
 				return nil, badStream("short cells data: %v", err)
 			}
-			if present == 0 {
-				continue
+			var item Object
+			if present != 0 {
+				if item, err = decodeObject(r); err != nil {
+					return nil, err
+				}
 			}
-			item, err := decodeObject(r)
-			if err != nil {
-				return nil, err
-			}
-			c.Data[i] = item
+			c.Data = append(c.Data, item)
 		}
 		return c, nil
 	case KindSpMat:
@@ -358,25 +363,27 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		}
 		s := &SpMat{
 			Rows: rows, Cols: cols,
-			RowIdx: make([]int32, nnz), ColIdx: make([]int32, nnz), Val: make([]float64, nnz),
+			RowIdx: makeCap[int32](int(nnz)), ColIdx: makeCap[int32](int(nnz)), Val: makeCap[float64](int(nnz)),
 		}
 		var b [8]byte
-		for k := uint32(0); k < nnz; k++ {
+		for range nnz {
 			if _, err := io.ReadFull(r, b[:4]); err != nil {
 				return nil, badStream("short sparse row: %v", err)
 			}
-			s.RowIdx[k] = int32(binary.BigEndian.Uint32(b[:4]))
+			row := int32(binary.BigEndian.Uint32(b[:4]))
 			if _, err := io.ReadFull(r, b[:4]); err != nil {
 				return nil, badStream("short sparse col: %v", err)
 			}
-			s.ColIdx[k] = int32(binary.BigEndian.Uint32(b[:4]))
+			col := int32(binary.BigEndian.Uint32(b[:4]))
 			if _, err := io.ReadFull(r, b[:]); err != nil {
 				return nil, badStream("short sparse val: %v", err)
 			}
-			s.Val[k] = math.Float64frombits(binary.BigEndian.Uint64(b[:]))
-			if int(s.RowIdx[k]) >= rows || int(s.ColIdx[k]) >= cols || s.RowIdx[k] < 0 || s.ColIdx[k] < 0 {
-				return nil, badStream("sparse index (%d,%d) outside %dx%d", s.RowIdx[k], s.ColIdx[k], rows, cols)
+			if int(row) >= rows || int(col) >= cols || row < 0 || col < 0 {
+				return nil, badStream("sparse index (%d,%d) outside %dx%d", row, col, rows, cols)
 			}
+			s.RowIdx = append(s.RowIdx, row)
+			s.ColIdx = append(s.ColIdx, col)
+			s.Val = append(s.Val, math.Float64frombits(binary.BigEndian.Uint64(b[:])))
 		}
 		return s, nil
 	default:
@@ -437,9 +444,33 @@ func readString(r *bufio.Reader) (string, error) {
 	if n > maxDim {
 		return "", badStream("string too large: %d", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	b, err := readBytes(r, int(n))
+	if err != nil {
 		return "", badStream("short string: %v", err)
 	}
 	return string(b), nil
+}
+
+// makeCap returns an empty slice for n elements that decode appends as
+// they are read; its initial capacity is capped at allocChunk, so the
+// header's element count alone cannot make decode allocate.
+func makeCap[T any](n int) []T {
+	return make([]T, 0, min(n, allocChunk))
+}
+
+// readBytes reads exactly n bytes, growing the buffer as data arrives
+// rather than trusting n up front.
+func readBytes(r *bufio.Reader, n int) ([]byte, error) {
+	b := make([]byte, 0, min(n, allocChunk))
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(len(b), n-len(b)))
+		}
+		k, err := io.ReadFull(r, b[len(b):min(cap(b), n)])
+		b = b[:len(b)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }

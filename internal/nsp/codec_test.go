@@ -2,9 +2,13 @@ package nsp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +177,71 @@ func TestDecodeTruncatedEverywhere(t *testing.T) {
 		trunc := &Serial{Data: s.Data[:cut]}
 		if _, err := trunc.Unserialize(); err == nil {
 			t.Fatalf("truncation at %d decoded without error", cut)
+		}
+	}
+}
+
+// TestDecodeForgedHeaderAllocatesByBytes feeds streams whose headers
+// claim up to maxDim elements or bytes with no data behind them. Each
+// must fail as a malformed stream after allocating about what was read,
+// not what the header claimed (the first input, a 23-byte string
+// matrix, used to make decode allocate ~2.3 GiB).
+func TestDecodeForgedHeaderAllocatesByBytes(t *testing.T) {
+	forged := func(kind Kind, words ...uint32) []byte {
+		b := append([]byte(codecMagic), 0, codecVersion, byte(kind))
+		for _, w := range words {
+			b = binary.BigEndian.AppendUint32(b, w)
+		}
+		return b
+	}
+	const side = 1 << 14 // side*side == maxDim
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"smat 23 bytes", []byte("NSPB\x00\x01\x03\x00000\x00\x00\x0000\x00\x00\x00\x00#\x00\x00")},
+		{"mat", forged(KindMat, side, side)},
+		{"bmat", forged(KindBMat, side, side)},
+		{"smat", forged(KindSMat, side, side)},
+		{"imat", forged(KindIMat, side, side)},
+		{"cells", forged(KindCells, side, side)},
+		{"spmat", forged(KindSpMat, side, side, maxDim)},
+		{"list", forged(KindList, maxDim)},
+		{"hash key", forged(KindHash, 1, maxDim)},
+		{"serial", append(forged(KindSerial), 0, 0x10, 0, 0, 0)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &Serial{Data: tc.data}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := s.Unserialize()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadStream) {
+				t.Fatalf("err = %v, want ErrBadStream", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("decode allocated %d bytes for a %d-byte stream, want < 1 MiB", got, len(tc.data))
+			}
+		})
+	}
+}
+
+// TestRoundTripPastAllocChunk covers values longer than allocChunk,
+// which decode grows as it reads.
+func TestRoundTripPastAllocChunk(t *testing.T) {
+	n := 3*allocChunk + 5
+	m := NewMat(1, n)
+	for i := range m.Data {
+		m.Data[i] = float64(i)
+	}
+	inner, err := Serialize(Str(strings.Repeat("x", n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []Object{m, Str(strings.Repeat("ab", n)), NewCells(n, 1), NewIMat(n, 2), inner} {
+		if got := roundTrip(t, o); !got.Equal(o) {
+			t.Fatalf("%v kind did not round-trip", o.Kind())
 		}
 	}
 }

@@ -138,6 +138,14 @@ func TestKernelTelemetry(t *testing.T) {
 // benchKernel prices p repeatedly, reporting paths/op via b.N.
 func benchKernel(b *testing.B, p *Problem) {
 	b.Helper()
+	// Price once untimed so the kernel's pooled arenas are filled in this
+	// goroutine: the harness collects garbage before each run, and an
+	// arena refill (~65 allocs) landing inside a 5-iteration allocation
+	// measurement would swamp the steady-state count.
+	if _, err := p.Compute(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Compute(); err != nil {
 			b.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"riskbench/internal/premia"
 	"riskbench/internal/risk"
@@ -60,21 +59,21 @@ func (r *priceRequest) release() {
 	requestPool.Put(r)
 }
 
-// batcher coalesces single-problem requests into farm batches: it
-// flushes whenever maxBatch requests have accumulated or maxDelay has
-// passed since the first request of the current batch — the dynamic
-// version of the farm's BatchSize bunching, applied to request traffic
-// instead of a pre-built portfolio.
+// batcher coalesces single-problem requests into farm batches by
+// natural batching: once a request arrives, it takes whatever else is
+// already queued, up to maxBatch, without waiting, and flushes at once —
+// the dynamic version of the farm's BatchSize bunching, applied to
+// request traffic instead of a pre-built portfolio.
 //
 // Flushes run synchronously on the batcher goroutine; while one batch
 // is pricing, later arrivals accumulate in the bounded input queue and
-// form the next batch. Intra-batch parallelism comes from the engine's
-// farm workers, inter-request dedup from the server's singleflight
-// layer above.
+// form the next batch. Under load batches therefore fill to maxBatch,
+// and an idle server prices a lone request after one farm round with no
+// linger. Intra-batch parallelism comes from the engine's farm workers,
+// inter-request dedup from the server's singleflight layer above.
 type batcher struct {
 	price    PriceFunc
 	maxBatch int
-	maxDelay time.Duration
 	reg      *telemetry.Registry
 	ctx      context.Context
 	in       chan *priceRequest
@@ -85,11 +84,10 @@ type batcher struct {
 	problems []*premia.Problem
 }
 
-func newBatcher(ctx context.Context, price PriceFunc, maxBatch int, maxDelay time.Duration, queue int, reg *telemetry.Registry) *batcher {
+func newBatcher(ctx context.Context, price PriceFunc, maxBatch, queue int, reg *telemetry.Registry) *batcher {
 	b := &batcher{
 		price:    price,
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
 		reg:      reg,
 		ctx:      ctx,
 		in:       make(chan *priceRequest, queue),
@@ -132,61 +130,34 @@ func (b *batcher) close() {
 
 func (b *batcher) loop() {
 	defer close(b.exited)
-	// buf and the flush timer are reused across batches: runBatch is
-	// synchronous, so once it returns the batch's descriptors belong to
-	// their consumers and buf can be truncated in place.
-	var (
-		buf     []*priceRequest
-		timer   *time.Timer
-		timeout <-chan time.Time
-	)
-	flush := func() {
-		if timeout != nil {
-			if !timer.Stop() {
-				// The timer fired between the maxBatch flush decision and
-				// here; drain the stale tick so the reused timer cannot
-				// flush the next batch prematurely.
-				select {
-				case <-timer.C:
-				default:
+	// buf is reused across batches: runBatch is synchronous, so once it
+	// returns the batch's descriptors belong to their consumers and buf
+	// can be truncated in place. A closed queue ends the range only after
+	// every request still buffered in it has been flushed.
+	var buf []*priceRequest
+	for r := range b.in {
+		buf = append(buf, r)
+	fill:
+		for len(buf) < b.maxBatch {
+			select {
+			case r, ok := <-b.in:
+				if !ok {
+					break fill
 				}
+				buf = append(buf, r)
+			default:
+				break fill
 			}
-			timeout = nil
 		}
-		if len(buf) == 0 {
-			return
+		if len(buf) == b.maxBatch {
+			b.reg.Counter("serve.batch.flush_size").Add(1)
+		} else {
+			b.reg.Counter("serve.batch.flush_idle").Add(1)
 		}
 		b.reg.Observe("serve.batch.size", float64(len(buf)))
 		b.runBatch(buf)
-		for i := range buf {
-			buf[i] = nil // descriptors are pooled; drop the stale refs
-		}
+		clear(buf) // descriptors are pooled; drop the stale refs
 		buf = buf[:0]
-	}
-	for {
-		select {
-		case r, ok := <-b.in:
-			if !ok {
-				flush()
-				return
-			}
-			buf = append(buf, r)
-			if len(buf) >= b.maxBatch {
-				b.reg.Counter("serve.batch.flush_size").Add(1)
-				flush()
-			} else if timeout == nil {
-				if timer == nil {
-					timer = time.NewTimer(b.maxDelay)
-				} else {
-					timer.Reset(b.maxDelay)
-				}
-				timeout = timer.C
-			}
-		case <-timeout:
-			timeout = nil
-			b.reg.Counter("serve.batch.flush_delay").Add(1)
-			flush()
-		}
 	}
 }
 

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -32,60 +34,122 @@ func batchProblem(k float64) *premia.Problem {
 		Set("S0", 100).Set("r", 0.05).Set("sigma", 0.2).Set("K", k).Set("T", 1)
 }
 
-func TestBatcherFlushOnSize(t *testing.T) {
-	var mu sync.Mutex
-	var sizes []int
-	b := newBatcher(context.Background(), recordingPrice(&mu, &sizes), 4, time.Hour, 64, telemetry.New())
-	defer b.close()
-	reqs := make([]*priceRequest, 4)
-	for i := range reqs {
-		reqs[i] = &priceRequest{problem: batchProblem(float64(90 + i)), done: make(chan priceResponse, 1)}
-		if !b.submit(reqs[i]) {
-			t.Fatal("submit rejected")
+// gatedPrice returns a PriceFunc that records flushed batch sizes,
+// prices each problem as its strike, and holds every batch until gate
+// is closed; entered receives once, when the first batch is pricing.
+func gatedPrice(gate <-chan struct{}, mu *sync.Mutex, sizes *[]int) (PriceFunc, <-chan struct{}) {
+	entered := make(chan struct{}, 1)
+	rec := recordingPrice(mu, sizes)
+	return func(ctx context.Context, problems []*premia.Problem) ([]risk.PriceOutcome, error) {
+		select {
+		case entered <- struct{}{}:
+		default:
 		}
-	}
-	// maxDelay is an hour: only the size trigger can flush.
+		<-gate
+		return rec(ctx, problems)
+	}, entered
+}
+
+// awaitStrikes checks each request is answered with its own strike.
+func awaitStrikes(t *testing.T, reqs []*priceRequest) {
+	t.Helper()
 	for i, r := range reqs {
 		select {
 		case resp := <-r.done:
-			if resp.err != nil || resp.outcome.Result.Price != float64(90+i) {
+			if resp.err != nil || resp.outcome.Result.Price != r.problem.Params["K"] {
 				t.Fatalf("request %d: %+v", i, resp)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("request %d never answered", i)
 		}
 	}
+}
+
+// queueBehindBlocker submits one request, waits until its batch is held
+// in the gated PriceFunc, then queues n more behind it. It returns the
+// blocker followed by the queued requests.
+func queueBehindBlocker(t *testing.T, b *batcher, entered <-chan struct{}, n int) []*priceRequest {
+	t.Helper()
+	reqs := make([]*priceRequest, n+1)
+	for i := range reqs {
+		reqs[i] = &priceRequest{problem: batchProblem(float64(80 + i)), done: make(chan priceResponse, 1)}
+		if !b.submit(reqs[i]) {
+			t.Fatalf("submit %d rejected", i)
+		}
+		if i == 0 {
+			select {
+			case <-entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("blocker never reached the pricer")
+			}
+		}
+	}
+	return reqs
+}
+
+func assertSizes(t *testing.T, mu *sync.Mutex, sizes *[]int, want []int) {
+	t.Helper()
 	mu.Lock()
 	defer mu.Unlock()
-	if len(sizes) != 1 || sizes[0] != 4 {
-		t.Fatalf("flushed batches %v, want one batch of 4", sizes)
+	if !slices.Equal(*sizes, want) {
+		t.Fatalf("flushed batches %v, want %v", *sizes, want)
 	}
 }
 
-func TestBatcherFlushOnDelay(t *testing.T) {
+// TestBatcherLoneRequestFlushesAlone: with room for 100, a single
+// request is priced at once in a batch of its own — there is no timer
+// to wait for company.
+func TestBatcherLoneRequestFlushesAlone(t *testing.T) {
 	var mu sync.Mutex
 	var sizes []int
-	b := newBatcher(context.Background(), recordingPrice(&mu, &sizes), 100, 5*time.Millisecond, 64, telemetry.New())
+	reg := telemetry.New()
+	b := newBatcher(context.Background(), recordingPrice(&mu, &sizes), 100, 64, reg)
 	defer b.close()
-	reqs := make([]*priceRequest, 3)
-	for i := range reqs {
-		reqs[i] = &priceRequest{problem: batchProblem(float64(90 + i)), done: make(chan priceResponse, 1)}
-		b.submit(reqs[i])
+	r := &priceRequest{problem: batchProblem(95), done: make(chan priceResponse, 1)}
+	if !b.submit(r) {
+		t.Fatal("submit rejected")
 	}
-	for i, r := range reqs {
-		select {
-		case resp := <-r.done:
-			if resp.err != nil {
-				t.Fatalf("request %d: %v", i, resp.err)
+	awaitStrikes(t, []*priceRequest{r})
+	assertSizes(t, &mu, &sizes, []int{1})
+	if got := reg.Counter("serve.batch.flush_idle").Value(); got != 1 {
+		t.Fatalf("flush_idle = %d, want 1", got)
+	}
+	if got := reg.Counter("serve.batch.flush_size").Value(); got != 0 {
+		t.Fatalf("flush_size = %d, want 0", got)
+	}
+}
+
+// TestBatcherQueuedRequestsFormBatch: requests that queue while a batch
+// is pricing come out as the next batch, split at maxBatch.
+func TestBatcherQueuedRequestsFormBatch(t *testing.T) {
+	for _, tc := range []struct {
+		queued int
+		want   []int
+	}{
+		{3, []int{1, 3}},
+		{4, []int{1, 4}},
+		{10, []int{1, 4, 4, 2}},
+	} {
+		t.Run(fmt.Sprintf("queued=%d", tc.queued), func(t *testing.T) {
+			var mu sync.Mutex
+			var sizes []int
+			gate := make(chan struct{})
+			price, entered := gatedPrice(gate, &mu, &sizes)
+			reg := telemetry.New()
+			b := newBatcher(context.Background(), price, 4, 64, reg)
+			defer b.close()
+			reqs := queueBehindBlocker(t, b, entered, tc.queued)
+			close(gate)
+			awaitStrikes(t, reqs)
+			assertSizes(t, &mu, &sizes, tc.want)
+			full := int64(tc.queued / 4)
+			if got := reg.Counter("serve.batch.flush_size").Value(); got != full {
+				t.Fatalf("flush_size = %d, want %d", got, full)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("request %d never answered: delay flush missing", i)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sizes) != 1 || sizes[0] != 3 {
-		t.Fatalf("flushed batches %v, want one underfull batch of 3", sizes)
+			if got := reg.Counter("serve.batch.flush_idle").Value(); got != int64(len(tc.want))-full {
+				t.Fatalf("flush_idle = %d, want %d", got, int64(len(tc.want))-full)
+			}
+		})
 	}
 }
 
@@ -95,7 +159,7 @@ func TestBatcherQueueFull(t *testing.T) {
 		<-gate
 		return make([]risk.PriceOutcome, len(problems)), nil
 	}
-	b := newBatcher(context.Background(), price, 1, time.Hour, 2, telemetry.New())
+	b := newBatcher(context.Background(), price, 1, 2, telemetry.New())
 	// First request flushes immediately and blocks the loop in the gated
 	// price func; the next two fill the queue.
 	first := &priceRequest{problem: batchProblem(90), done: make(chan priceResponse, 1)}
@@ -135,7 +199,7 @@ func TestBatcherShortPriceSlice(t *testing.T) {
 	price := func(ctx context.Context, problems []*premia.Problem) ([]risk.PriceOutcome, error) {
 		return make([]risk.PriceOutcome, len(problems)-1), nil
 	}
-	b := newBatcher(context.Background(), price, 2, time.Hour, 64, telemetry.New())
+	b := newBatcher(context.Background(), price, 2, 64, telemetry.New())
 	defer b.close()
 	for round := 0; round < 2; round++ {
 		reqs := make([]*priceRequest, 2)
@@ -159,19 +223,27 @@ func TestBatcherShortPriceSlice(t *testing.T) {
 	}
 }
 
+// TestBatcherCloseFlushesRemainder: close while a batch is pricing and
+// more requests are queued behind it still answers every one of them,
+// in the same batch shapes as without the close.
 func TestBatcherCloseFlushesRemainder(t *testing.T) {
 	var mu sync.Mutex
 	var sizes []int
-	b := newBatcher(context.Background(), recordingPrice(&mu, &sizes), 100, time.Hour, 64, telemetry.New())
-	r := &priceRequest{problem: batchProblem(95), done: make(chan priceResponse, 1)}
-	b.submit(r)
-	b.close() // neither size nor delay fired: close must flush
+	gate := make(chan struct{})
+	price, entered := gatedPrice(gate, &mu, &sizes)
+	b := newBatcher(context.Background(), price, 4, 64, telemetry.New())
+	reqs := queueBehindBlocker(t, b, entered, 6)
+	closed := make(chan struct{})
+	go func() {
+		b.close()
+		close(closed)
+	}()
+	close(gate)
 	select {
-	case resp := <-r.done:
-		if resp.err != nil || resp.outcome.Result.Price != 95 {
-			t.Fatalf("bad close-flush response: %+v", resp)
-		}
-	default:
-		t.Fatal("close dropped the buffered request")
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("close never returned")
 	}
+	awaitStrikes(t, reqs)
+	assertSizes(t, &mu, &sizes, []int{1, 4, 2})
 }

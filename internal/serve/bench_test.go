@@ -66,7 +66,6 @@ func BenchmarkServeBatching(b *testing.B) {
 			s := New(Config{
 				Engine:   eng,
 				MaxBatch: size,
-				MaxDelay: 200 * time.Microsecond,
 				// Distinct strikes → no cache reuse; keep the map small.
 				CacheSize:   1024,
 				MaxInflight: 4096,
@@ -116,7 +115,6 @@ func BenchmarkServeEvents(b *testing.B) {
 			s := New(Config{
 				Engine:        &risk.Engine{Workers: 4, BatchSize: 16},
 				MaxBatch:      16,
-				MaxDelay:      200 * time.Microsecond,
 				CacheSize:     1024,
 				MaxInflight:   4096,
 				MaxQueue:      4096,
@@ -161,7 +159,6 @@ func BenchmarkServeTracing(b *testing.B) {
 			s := New(Config{
 				Engine:         &risk.Engine{Workers: 4, BatchSize: 16},
 				MaxBatch:       16,
-				MaxDelay:       200 * time.Microsecond,
 				CacheSize:      1024,
 				MaxInflight:    4096,
 				MaxQueue:       4096,

@@ -18,7 +18,7 @@ import (
 // /debug/slo lists the default objectives, and /debug/farm shows the
 // workers that actually priced the batch.
 func TestObservabilityEndpoints(t *testing.T) {
-	s := New(Config{Engine: &risk.Engine{Workers: 2}, MaxDelay: time.Millisecond})
+	s := New(Config{Engine: &risk.Engine{Workers: 2}})
 	defer s.Close()
 	if w := postJSON(s, "/price", mcBody); w.Code != http.StatusOK {
 		t.Fatalf("price: status %d body %s", w.Code, w.Body.String())
@@ -90,7 +90,7 @@ func TestServeRejectEventEmitted(t *testing.T) {
 		return make([]risk.PriceOutcome, len(problems)), nil
 	}
 	reg := telemetry.New()
-	s := New(Config{Price: price, MaxInflight: 1, MaxBatch: 1, MaxDelay: time.Millisecond, Telemetry: reg})
+	s := New(Config{Price: price, MaxInflight: 1, MaxBatch: 1, Telemetry: reg})
 	defer s.Close()
 	done := make(chan struct{})
 	go func() {

@@ -279,8 +279,7 @@ func (s *Server) handleRiskReport(w http.ResponseWriter, r *http.Request) {
 	start := s.reg.Now()
 	defer func() { s.reg.Observe("serve.risk.report_seconds", s.reg.Now()-start) }()
 	var q riskReportRequest
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, &q) {
 		return
 	}
 	cfg := q.config()
@@ -398,8 +397,7 @@ func (s *Server) handleRiskWatch(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	s.reg.Counter("serve.risk.watches").Add(1)
 	var q riskWatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, &q) {
 		return
 	}
 	rounds := q.Rounds

@@ -5,14 +5,13 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 
 	"riskbench/internal/risk"
 	"riskbench/internal/telemetry"
 )
 
 func riskServer() *Server {
-	return New(Config{Engine: &risk.Engine{Workers: 4}, MaxDelay: time.Millisecond, Telemetry: telemetry.New()})
+	return New(Config{Engine: &risk.Engine{Workers: 4}, Telemetry: telemetry.New()})
 }
 
 func TestRiskIndex(t *testing.T) {
@@ -228,7 +227,7 @@ func TestRiskWatchNoLimits(t *testing.T) {
 // TestRiskMetrics: the serve.risk.* counters move when reports run.
 func TestRiskMetrics(t *testing.T) {
 	reg := telemetry.New()
-	s := New(Config{Engine: &risk.Engine{Workers: 2}, MaxDelay: time.Millisecond, Telemetry: reg})
+	s := New(Config{Engine: &risk.Engine{Workers: 2}, Telemetry: reg})
 	defer s.Close()
 	if w := postJSON(s, "/risk/report", `{"portfolio":{"n":4},"scenarios":{"n":16}}`); w.Code != 200 {
 		t.Fatalf("report = %d: %s", w.Code, w.Body)

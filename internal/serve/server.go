@@ -38,11 +38,15 @@ type Config struct {
 	// Price overrides Engine when non-nil — the test seam that lets load
 	// tests count kernel evaluations.
 	Price PriceFunc
-	// MaxBatch is the micro-batcher's flush size (default 16, the same
-	// bunching the paper's conclusion recommends for the farm).
+	// MaxBatch is the largest batch the micro-batcher flushes (default
+	// 16, the same bunching the paper's conclusion recommends for the
+	// farm).
 	MaxBatch int
-	// MaxDelay is how long the first request of a batch may wait for
-	// company before the batch flushes anyway (default 2ms).
+	// MaxDelay is ignored: the batcher flushes as soon as the pricer is
+	// free, taking whatever requests are already queued.
+	//
+	// Deprecated: no-op since the micro-batcher dropped its linger
+	// timer; it will be removed.
 	MaxDelay time.Duration
 	// CacheSize is the result cache's total entry capacity; 0 means
 	// DefaultCacheSize, negative disables caching.
@@ -128,9 +132,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 16
 	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 2 * time.Millisecond
-	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 256
 	}
@@ -179,7 +180,7 @@ func New(cfg Config) *Server {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
-	s.batch = newBatcher(ctx, price, cfg.MaxBatch, cfg.MaxDelay, cfg.MaxQueue, s.reg)
+	s.batch = newBatcher(ctx, price, cfg.MaxBatch, cfg.MaxQueue, s.reg)
 	s.startSLO(ctx)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /price", s.handlePrice)
@@ -317,8 +318,9 @@ func (s *Server) priceProblem(ctx context.Context, p *premia.Problem, wait bool)
 	if !s.cfg.DisableTracing {
 		// Each flight leader roots one distributed trace; the batcher ends
 		// the queue span at flush and prices the whole batch under the
-		// first request's trace, so /debug/traces shows queue wait, batch
-		// delay, dispatch and worker compute per request.
+		// first request's trace, so /debug/traces shows queue wait (behind
+		// the batch pricing ahead of it), dispatch and worker compute per
+		// request.
 		req.span = s.reg.StartTrace("serve.request")
 		req.queue = req.span.StartChild("serve.queue")
 	}
@@ -510,6 +512,27 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	}
 }
 
+// maxBodyBytes bounds every JSON request body: room for a /batch of
+// maxBatchRequest problems at 256 bytes each. Longer bodies get 413.
+const maxBodyBytes = maxBatchRequest * 256
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes of it. On failure it writes the answer — 413 when the
+// body is too long, 400 when it is malformed — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLong *http.MaxBytesError
+	if errors.As(err, &tooLong) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": fmt.Sprintf("request body longer than %d bytes", tooLong.Limit)})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	return false
+}
+
 // requestContext derives the pricing deadline: the client context
 // capped by the configured per-request timeout.
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
@@ -526,8 +549,7 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	start := s.reg.Now()
 	defer func() { s.reg.Observe("serve.request_seconds", s.reg.Now()-start) }()
 	var pj problemJSON
-	if err := json.NewDecoder(r.Body).Decode(&pj); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, &pj) {
 		return
 	}
 	ctx, cancel := s.requestContext(r)
@@ -560,8 +582,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Problems []problemJSON `json:"problems"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	if len(body.Problems) == 0 || len(body.Problems) > maxBatchRequest {

@@ -58,7 +58,7 @@ func countingEngine(evals *atomic.Int64) PriceFunc {
 func TestSingleflightOneKernelEvaluation(t *testing.T) {
 	var evals atomic.Int64
 	reg := telemetry.New()
-	s := New(Config{Price: countingEngine(&evals), MaxDelay: time.Millisecond, Telemetry: reg})
+	s := New(Config{Price: countingEngine(&evals), Telemetry: reg})
 	defer s.Close()
 
 	const n = 32
@@ -135,7 +135,7 @@ func TestAdmissionControlBurst(t *testing.T) {
 		return out, nil
 	}
 	reg := telemetry.New()
-	s := New(Config{Price: price, MaxInflight: 2, MaxBatch: 1, MaxDelay: time.Millisecond, Telemetry: reg})
+	s := New(Config{Price: price, MaxInflight: 2, MaxBatch: 1, Telemetry: reg})
 	defer s.Close()
 
 	var wg sync.WaitGroup
@@ -195,7 +195,7 @@ func TestDrainZeroDroppedResponses(t *testing.T) {
 		}
 		return out, nil
 	}
-	s := New(Config{Price: price, MaxInflight: 64, MaxBatch: 4, MaxDelay: time.Millisecond})
+	s := New(Config{Price: price, MaxInflight: 64, MaxBatch: 4})
 
 	const n = 16
 	codes := make([]int, n)
@@ -253,7 +253,7 @@ func TestDrainZeroDroppedResponses(t *testing.T) {
 // End-to-end through the real engine: cached and uncached Monte Carlo
 // prices are bit-identical.
 func TestRealEngineCachedBitIdentical(t *testing.T) {
-	s := New(Config{Engine: &risk.Engine{Workers: 2}, MaxDelay: time.Millisecond})
+	s := New(Config{Engine: &risk.Engine{Workers: 2}})
 	defer s.Close()
 	w1 := postJSON(s, "/price", mcBody)
 	if w1.Code != http.StatusOK {
@@ -286,7 +286,7 @@ func TestRequestDeadline(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 		return make([]risk.PriceOutcome, len(problems)), nil
 	}
-	s := New(Config{Price: price, RequestTimeout: 20 * time.Millisecond, MaxBatch: 1, MaxDelay: time.Millisecond})
+	s := New(Config{Price: price, RequestTimeout: 20 * time.Millisecond, MaxBatch: 1})
 	defer s.Close()
 	if w := postJSON(s, "/price", cfBody(90)); w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", w.Code)
@@ -295,7 +295,7 @@ func TestRequestDeadline(t *testing.T) {
 
 func TestBatchEndpointDedupes(t *testing.T) {
 	var evals atomic.Int64
-	s := New(Config{Price: countingEngine(&evals), MaxDelay: time.Millisecond})
+	s := New(Config{Price: countingEngine(&evals)})
 	defer s.Close()
 	var sb strings.Builder
 	sb.WriteString(`{"problems":[`)
@@ -357,5 +357,32 @@ func TestBadRequests(t *testing.T) {
 	}
 	if w := getPath(s, "/debug/traces"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "trace(s) retained") {
 		t.Fatalf("debug/traces: status %d, body %q", w.Code, w.Body.String())
+	}
+}
+
+// TestBodyLimit: every JSON route reads at most maxBodyBytes of its body
+// and answers 413 past it, before any pricing or risk work starts.
+func TestBodyLimit(t *testing.T) {
+	s := New(Config{Price: func(ctx context.Context, problems []*premia.Problem) ([]risk.PriceOutcome, error) {
+		return make([]risk.PriceOutcome, len(problems)), nil
+	}})
+	defer s.Close()
+	// Leading whitespace is legal JSON, so only the length is at fault.
+	tooLong := strings.Repeat(" ", maxBodyBytes+1)
+	for _, path := range []string{"/price", "/batch", "/risk/report", "/risk/watch"} {
+		t.Run(strings.TrimPrefix(path, "/"), func(t *testing.T) {
+			w := postJSON(s, path, tooLong)
+			if w.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413; body %q", w.Code, w.Body.String())
+			}
+			if !strings.Contains(w.Body.String(), "longer than") {
+				t.Fatalf("413 body %q does not name the limit", w.Body.String())
+			}
+		})
+	}
+	// A body of exactly the limit is still read and priced.
+	body := cfBody(100)
+	if w := postJSON(s, "/price", strings.Repeat(" ", maxBodyBytes-len(body))+body); w.Code != http.StatusOK {
+		t.Fatalf("body at the limit: status %d, body %q", w.Code, w.Body.String())
 	}
 }
